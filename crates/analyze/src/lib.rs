@@ -96,6 +96,24 @@ impl Analyzer {
         }
     }
 
+    /// Analyzes the workspace rooted at `root`: [`Analyzer::analyze_tree`],
+    /// plus a `stale_manifest` violation for every hot-path manifest entry
+    /// whose file is missing under `root` or that lists a function the file
+    /// does not define ([`rules::check_manifest_entry`]).
+    pub fn analyze_workspace(&self, root: &Path) -> io::Result<Analysis> {
+        let mut analysis = self.analyze_tree(root)?;
+        for entry in &self.manifest.hot_paths {
+            let source = fs::read_to_string(root.join(&entry.file)).ok();
+            analysis
+                .violations
+                .extend(rules::check_manifest_entry(entry, source.as_deref()));
+        }
+        analysis
+            .violations
+            .sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
+        Ok(analysis)
+    }
+
     /// Analyzes every `.rs` file under `root`, excluding build output
     /// (`target/`), VCS metadata, and the analyzer's own violation fixtures.
     pub fn analyze_tree(&self, root: &Path) -> io::Result<Analysis> {

@@ -7,7 +7,8 @@
 //! ```
 //!
 //! With no path arguments the whole workspace is scanned under the
-//! [`Manifest::workspace`] rule scoping and the unsafe inventory is written to
+//! [`Manifest::workspace`] rule scoping, every manifest entry is checked
+//! against the tree, and the unsafe inventory is written to
 //! `ANALYZE_unsafe.json` at the workspace root. With explicit paths only those
 //! files/directories are scanned and no inventory is written unless `--json`
 //! names a destination. `--fixture-mode` treats every scanned file as
@@ -81,7 +82,7 @@ fn main() -> ExitCode {
     let root = workspace_root();
 
     let (analysis, write_default_json) = if opts.paths.is_empty() {
-        match analyzer.analyze_tree(&root) {
+        match analyzer.analyze_workspace(&root) {
             Ok(a) => (a, true),
             Err(e) => {
                 eprintln!("ispot-analyze: failed to scan {}: {e}", root.display());

@@ -109,10 +109,7 @@ impl Manifest {
                         "gate",
                         "classify",
                         "localize_peaks",
-                        "localize",
                         "track_peaks",
-                        "track",
-                        "run_frame",
                         "run_frame_observed",
                         "observe",
                     ],
@@ -235,7 +232,6 @@ impl Manifest {
                         "evaluate",
                     ],
                 ),
-                entry("crates/serve/src/metrics.rs", &["record", "incr", "add"]),
                 // Tracing adapters on the per-frame path: the observer hook
                 // and the live-feed publishers.
                 entry("crates/serve/src/observe.rs", &["on_span", "stage"]),

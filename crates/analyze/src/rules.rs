@@ -15,6 +15,11 @@
 //! 3. **Unsafe audit** — handled in [`crate::scan`]; a missing `// SAFETY:`
 //!    comment surfaces here as an `unsafe_no_safety` violation.
 //!
+//! A hot-path manifest entry whose file is gone, or that lists a function the
+//! file no longer defines, is itself a violation (`stale_manifest`, see
+//! [`check_manifest_entry`]): such an entry checks nothing, so the gate
+//! would silently stop covering whatever replaced it.
+//!
 //! Any denial (except `unsafe_no_safety`, whose fix *is* a comment) can be
 //! waived with an inline justification on the same or the preceding line:
 //!
@@ -27,7 +32,7 @@
 //! in an allow are themselves reported, so waivers cannot rot silently.
 
 use crate::lexer::{Lexed, Tok};
-use crate::manifest::{HotScope, Manifest};
+use crate::manifest::{HotPathEntry, HotScope, Manifest};
 use crate::scan::Structure;
 
 /// Rule identifiers, as used in `analyze: allow(<rule>)` comments.
@@ -49,6 +54,8 @@ pub enum Rule {
     UnsafeNoSafety,
     /// A malformed or unknown `analyze: allow(...)` comment.
     BadAllow,
+    /// A hot-path manifest entry naming a missing file or function.
+    StaleManifest,
 }
 
 impl Rule {
@@ -63,6 +70,7 @@ impl Rule {
             Rule::HashMap => "hash_map",
             Rule::UnsafeNoSafety => "unsafe_no_safety",
             Rule::BadAllow => "bad_allow",
+            Rule::StaleManifest => "stale_manifest",
         }
     }
 
@@ -316,6 +324,44 @@ pub fn check_file(
     out
 }
 
+/// Checks one hot-path manifest entry against the source of the file it
+/// names (`None` when that file does not exist): a missing file, or a listed
+/// function with no non-test `fn` of that name in the file, is a
+/// [`Rule::StaleManifest`] violation. Reported at line 0 of the named file.
+pub fn check_manifest_entry(entry: &HotPathEntry, source: Option<&str>) -> Vec<Violation> {
+    let stale = |message: String, function: Option<String>| Violation {
+        file: entry.file.clone(),
+        line: 0,
+        rule: Rule::StaleManifest,
+        message,
+        function,
+    };
+    let Some(source) = source else {
+        return vec![stale(
+            "hot-path manifest entry names a file that does not exist".to_string(),
+            None,
+        )];
+    };
+    let HotScope::Functions(names) = &entry.scope else {
+        return Vec::new();
+    };
+    let st = crate::scan::scan(&crate::lexer::lex(source));
+    names
+        .iter()
+        .filter(|name| {
+            !st.functions
+                .iter()
+                .any(|f| f.name == **name && !st.in_tests(f.body.start))
+        })
+        .map(|name| {
+            stale(
+                format!("hot-path manifest lists `{name}`, but the file defines no such fn"),
+                Some(name.clone()),
+            )
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -383,6 +429,32 @@ mod tests {
         let src = "use std::collections::HashMap;\nfn f() { let m: HashMap<u32, f64> = HashMap::new(); }\n";
         assert!(!run("crates/ssl/src/metrics.rs", src, &manifest).is_empty());
         assert!(run("crates/ssl/src/steering.rs", src, &manifest).is_empty());
+    }
+
+    #[test]
+    fn stale_manifest_entries_are_violations() {
+        let entry = HotPathEntry {
+            file: "crates/a/src/x.rs".into(),
+            scope: HotScope::Functions(vec!["hot".into(), "no_such_function_xyz".into()]),
+        };
+        // A test-only fn of the listed name does not keep the entry alive.
+        let src = "fn hot() {}\n#[cfg(test)]\nmod tests {\n    fn no_such_function_xyz() {}\n}\n";
+        let v = check_manifest_entry(&entry, Some(src));
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].rule, Rule::StaleManifest);
+        assert_eq!(v[0].function.as_deref(), Some("no_such_function_xyz"));
+
+        let missing = check_manifest_entry(&entry, None);
+        assert_eq!(missing.len(), 1);
+        assert_eq!(missing[0].rule, Rule::StaleManifest);
+        assert_eq!(missing[0].file, "crates/a/src/x.rs");
+
+        let whole_file = HotPathEntry {
+            file: "crates/a/src/k.rs".into(),
+            scope: HotScope::AllFunctions,
+        };
+        assert!(check_manifest_entry(&whole_file, Some("")).is_empty());
+        assert_eq!(check_manifest_entry(&whole_file, None).len(), 1);
     }
 
     #[test]

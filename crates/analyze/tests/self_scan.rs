@@ -10,7 +10,7 @@ use ispot_analyze::{workspace_root, Analyzer, Manifest};
 #[test]
 fn workspace_has_zero_unjustified_violations() {
     let analysis = Analyzer::new(Manifest::workspace())
-        .analyze_tree(&workspace_root())
+        .analyze_workspace(&workspace_root())
         .expect("workspace tree must be readable");
     assert!(
         analysis.violations.is_empty(),

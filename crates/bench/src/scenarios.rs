@@ -697,12 +697,12 @@ pub fn evaluate_scene(
     }
     let engine = builder.build_engine()?;
     let mut session = engine.open_session();
-    let mut sink = VecSink::new();
-    let num_frames = session.process_recording_with(&audio, &mut sink)?;
+    let mut events = Vec::new();
+    let num_frames = session.process_recording_with(&audio, &mut events)?;
 
     // Frame-level detection scoring: frames without an event are background.
     let mut predictions = vec![EventClass::Background; num_frames];
-    for event in sink.events() {
+    for event in &events {
         if event.frame_index < num_frames {
             predictions[event.frame_index] = event.class;
         }
@@ -752,7 +752,7 @@ pub fn evaluate_scene(
     let mut frame_tracks: Vec<(TrackId, f64)> = Vec::new();
     let mut ospa_sum = 0.0;
     let mut ospa_count = 0usize;
-    for event in sink.events() {
+    for event in &events {
         let truths = truths_at(event.time_s);
         if let Some(estimate) = event.tracked_azimuth_deg.or(event.azimuth_deg) {
             doa.add(estimate, &truths);
@@ -772,7 +772,7 @@ pub fn evaluate_scene(
 
     Ok(EvalScores {
         num_frames,
-        num_events: sink.events().len(),
+        num_events: events.len(),
         event_f1: report.event_f1(),
         event_precision: report.event_precision(),
         event_recall: report.event_recall(),

@@ -108,10 +108,12 @@ mod tests {
     fn measures_and_accumulates_records() {
         let profiler = HostProfiler::new(1, 5);
         let a = profiler.measure("fast", || 1 + 1);
+        // `black_box` on the bound and the accumulator keeps the optimizer from
+        // folding the loop to a closed form, so "slow" really does the work.
         let b = profiler.measure("slow", || {
             let mut acc = 0u64;
-            for i in 0..200_000u64 {
-                acc = acc.wrapping_add(i * i);
+            for i in 0..std::hint::black_box(200_000u64) {
+                acc = std::hint::black_box(acc.wrapping_add(i * i));
             }
             acc
         });

@@ -68,12 +68,12 @@
 //! let mut session = engine.open_session();
 //!
 //! // 3. The sink: events arrive by reference as frames complete.
-//! let mut events = VecSink::new();
+//! let mut events = Vec::new();
 //! let frames = session.process_recording_with(&audio, &mut events)?;
 //! assert!(frames > 0);
-//! assert!(events.events().iter().any(|e| e.is_alert()));
+//! assert!(events.iter().any(|e| e.is_alert()));
 //! // Localization ran: alert events carry a tracked azimuth toward the siren.
-//! assert!(events.events().iter().any(|e| e.tracked_azimuth_deg.is_some()));
+//! assert!(events.iter().any(|e| e.tracked_azimuth_deg.is_some()));
 //! # Ok(())
 //! # }
 //! ```
@@ -88,7 +88,7 @@ use crate::input::AudioInput;
 use crate::latency::LatencyReport;
 use crate::mode::OperatingMode;
 use crate::pipeline::PipelineConfig;
-use crate::sink::{EventSink, LatestEvent};
+use crate::sink::EventSink;
 use crate::stages::{
     DetectStage, FrameOutcome, FrameParams, LocalizeStage, ObsCtx, StageGraph, TrackStage,
     TriggerStage,
@@ -98,7 +98,6 @@ use ispot_obs::{StageObserver, TickSource};
 use ispot_roadsim::engine::MultichannelAudio;
 use ispot_roadsim::microphone::MicrophoneArray;
 use ispot_sed::baseline::SpectralTemplateDetector;
-use ispot_sed::EventClass;
 use ispot_ssl::multitrack::TrackingConfig;
 use ispot_ssl::srp_fast::{SrpPhatFast, SrpSearchConfig};
 use ispot_ssl::srp_phat::SrpConfig;
@@ -111,7 +110,7 @@ const MAX_STACK_CHANNELS: usize = 32;
 /// Runs `f` over per-channel `&[f64]` views of `channels` — the channel-view arena
 /// of the streaming paths. Up to [`MAX_STACK_CHANNELS`] channels the view table
 /// lives on the stack (no allocation); beyond that one small `Vec` is built.
-pub(crate) fn with_channel_views<R>(channels: &[Vec<f64>], f: impl FnOnce(&[&[f64]]) -> R) -> R {
+fn with_channel_views<R>(channels: &[Vec<f64>], f: impl FnOnce(&[&[f64]]) -> R) -> R {
     if channels.len() <= MAX_STACK_CHANNELS {
         let mut views: [&[f64]; MAX_STACK_CHANNELS] = [&[]; MAX_STACK_CHANNELS];
         for (view, ch) in views.iter_mut().zip(channels) {
@@ -334,7 +333,7 @@ impl PipelineBuilder {
     /// assert!(session.observer_attached());
     ///
     /// let frame = vec![0.1f64; 2048];
-    /// session.process_frame(&[&frame], 0)?;
+    /// session.process_frame_with(&[&frame], 0, &mut Vec::new())?;
     /// assert!(ring.recorded() > 0, "stages produced no spans");
     /// # Ok(())
     /// # }
@@ -562,9 +561,8 @@ impl Framing {
 /// whole recordings go through [`Session::process_recording_with`]. All entry
 /// points share one framing implementation and produce identical events, and all
 /// emit events **by reference** through a caller-supplied [`EventSink`] — the
-/// steady-state path performs no heap allocation. Thin `Vec`-returning wrappers
-/// ([`Session::push_chunk`], [`Session::process_recording`]) are kept for
-/// convenience and experiments.
+/// steady-state path performs no heap allocation. Pass a `Vec<PerceptionEvent>`
+/// as the sink to collect the events.
 pub struct Session {
     config: PipelineConfig,
     sample_rate: f64,
@@ -814,22 +812,6 @@ impl Session {
         Ok(outcome)
     }
 
-    /// Convenience wrapper around [`process_frame_with`](Self::process_frame_with)
-    /// returning the emitted event (if any) by value.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`process_frame_with`](Self::process_frame_with).
-    pub fn process_frame(
-        &mut self,
-        frame: &[&[f64]],
-        frame_index: usize,
-    ) -> Result<Option<PerceptionEvent>, PipelineError> {
-        let mut latest = LatestEvent::new();
-        self.process_frame_with(frame, frame_index, &mut latest)?;
-        Ok(latest.take())
-    }
-
     /// Streams one chunk in **any** supported sample format and layout (see
     /// [`AudioInput`]) into the session, reporting completed frames and emitted
     /// events through `sink`. Returns the number of frames processed during this
@@ -923,33 +905,6 @@ impl Session {
         self.push_input_with(AudioInput::PlanarF64(chunk), sink)
     }
 
-    /// Convenience wrapper around [`push_chunk_with`](Self::push_chunk_with)
-    /// appending emitted events to `events`. Returns the number of frames
-    /// processed during this call.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`push_chunk_with`](Self::push_chunk_with).
-    pub fn push_chunk_into(
-        &mut self,
-        chunk: &[&[f64]],
-        events: &mut Vec<PerceptionEvent>,
-    ) -> Result<usize, PipelineError> {
-        self.push_chunk_with(chunk, events)
-    }
-
-    /// Convenience wrapper around [`push_chunk_with`](Self::push_chunk_with)
-    /// returning the events as a fresh `Vec`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`push_chunk_with`](Self::push_chunk_with).
-    pub fn push_chunk(&mut self, chunk: &[&[f64]]) -> Result<Vec<PerceptionEvent>, PipelineError> {
-        let mut events = Vec::new();
-        self.push_chunk_with(chunk, &mut events)?;
-        Ok(events)
-    }
-
     /// Processes a whole multichannel recording with the configured frame/hop,
     /// reporting through `sink`. Returns the number of frames processed.
     ///
@@ -979,32 +934,6 @@ impl Session {
         self.reset_streaming();
         Ok(frames)
     }
-
-    /// Convenience wrapper around
-    /// [`process_recording_with`](Self::process_recording_with) returning every
-    /// emitted event as a fresh `Vec`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`process_recording_with`](Self::process_recording_with).
-    pub fn process_recording(
-        &mut self,
-        audio: &MultichannelAudio,
-    ) -> Result<Vec<PerceptionEvent>, PipelineError> {
-        let mut events = Vec::new();
-        self.process_recording_with(audio, &mut events)?;
-        Ok(events)
-    }
-
-    /// Detector class events not gated by the pipeline: classifies a mono clip
-    /// directly (useful for diagnostics).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the clip is shorter than one detector frame.
-    pub fn classify_clip(&self, audio: &[f64]) -> Result<EventClass, PipelineError> {
-        self.stages.detect.classify_clip(audio)
-    }
 }
 
 /// Pushes an interleaved chunk, first rejecting layouts that are not a whole
@@ -1030,7 +959,7 @@ fn push_interleaved<S: ispot_dsp::sample::Sample>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{AlertCounter, VecSink};
+    use crate::sink::AlertCounter;
     use ispot_roadsim::geometry::Position;
     use ispot_sed::sirens::{SirenKind, SirenSynthesizer};
 
@@ -1181,17 +1110,17 @@ mod tests {
         // Feeding one session leaves the other untouched.
         let siren = SirenSynthesizer::new(SirenKind::Wail, fs).synthesize(0.5);
         let chunk: Vec<&[f64]> = vec![&siren; 4];
-        let mut sink = VecSink::new();
-        a.push_chunk_with(&chunk, &mut sink).unwrap();
+        let mut events_a = Vec::new();
+        a.push_chunk_with(&chunk, &mut events_a).unwrap();
         assert!(a.frames_processed() > 0);
         assert_eq!(b.frames_processed(), 0);
         assert_eq!(b.pending_samples(), 0);
 
         // And the second session produces the same events as the first on the
         // same input: per-stream state is fully isolated.
-        let mut sink_b = VecSink::new();
-        b.push_chunk_with(&chunk, &mut sink_b).unwrap();
-        assert_eq!(sink.events(), sink_b.events());
+        let mut events_b = Vec::new();
+        b.push_chunk_with(&chunk, &mut events_b).unwrap();
+        assert_eq!(events_a, events_b);
     }
 
     #[test]
@@ -1223,18 +1152,18 @@ mod tests {
                 .search(search)
                 .build()
                 .unwrap();
-            let mut sink = VecSink::new();
-            session.process_recording_with(&audio, &mut sink).unwrap();
-            sink
+            let mut events = Vec::new();
+            session.process_recording_with(&audio, &mut events).unwrap();
+            events
         };
         let exhaustive = run(SrpSearchConfig::exhaustive());
         let hierarchical = run(SrpSearchConfig::hierarchical());
-        assert!(!exhaustive.events().is_empty());
+        assert!(!exhaustive.is_empty());
         // Identical detections; azimuths from both search strategies stay within
         // one coarse cell of each other (the map peak itself is refined exactly).
-        assert_eq!(exhaustive.events().len(), hierarchical.events().len());
+        assert_eq!(exhaustive.len(), hierarchical.len());
         let cell_deg = 360.0 / 181.0 * 4.0;
-        for (a, b) in exhaustive.events().iter().zip(hierarchical.events()) {
+        for (a, b) in exhaustive.iter().zip(&hierarchical) {
             assert_eq!(a.frame_index, b.frame_index);
             assert_eq!(a.class, b.class);
             match (a.azimuth_deg, b.azimuth_deg) {
@@ -1282,15 +1211,14 @@ mod tests {
             .unwrap();
         let audio = Simulator::new(scene).unwrap().run().unwrap();
         let mut session = PipelineBuilder::new(fs).array(&array).build().unwrap();
-        let mut sink = VecSink::new();
-        session.process_recording_with(&audio, &mut sink).unwrap();
-        let events = sink.events();
+        let mut events = Vec::new();
+        session.process_recording_with(&audio, &mut events).unwrap();
         assert!(!events.is_empty());
         assert!(
             events.iter().any(|e| e.tracks.confirmed().count() >= 2),
             "no event saw both sources as confirmed tracks"
         );
-        for event in events {
+        for event in &events {
             // The legacy single-source fields are views of the same state: the
             // tracked azimuth is the best (first) track, and track snapshots
             // arrive best-first with confirmed tracks ahead of tentative ones.
@@ -1321,13 +1249,10 @@ mod tests {
         assert!(!shed.localization_shed());
         shed.set_localization_shed(true);
         assert!(shed.localization_shed());
-        let mut shed_sink = VecSink::new();
-        shed.push_chunk_with(&channels, &mut shed_sink).unwrap();
-        assert!(
-            !shed_sink.events().is_empty(),
-            "detection must survive shed"
-        );
-        for event in shed_sink.events() {
+        let mut shed_events = Vec::new();
+        shed.push_chunk_with(&channels, &mut shed_events).unwrap();
+        assert!(!shed_events.is_empty(), "detection must survive shed");
+        for event in &shed_events {
             assert_eq!(event.azimuth_deg, None, "{event:?}");
             assert_eq!(event.tracked_azimuth_deg, None, "{event:?}");
             assert!(event.tracks.is_empty(), "{event:?}");
@@ -1336,23 +1261,21 @@ mod tests {
         // Restore mid-stream: later frames localize again (no state reset, so
         // the assembler keeps its position and frame indices stay monotonic).
         shed.set_localization_shed(false);
-        let mut restored_sink = VecSink::new();
-        shed.push_chunk_with(&channels, &mut restored_sink).unwrap();
+        let mut restored_events = Vec::new();
+        shed.push_chunk_with(&channels, &mut restored_events)
+            .unwrap();
         assert!(
-            restored_sink
-                .events()
-                .iter()
-                .any(|e| e.azimuth_deg.is_some()),
+            restored_events.iter().any(|e| e.azimuth_deg.is_some()),
             "localization must resume after restore"
         );
 
         // Shed never changes *detection* results: classes and confidences match
         // a full-fidelity session frame for frame over the shed window.
         let mut full = engine.open_session();
-        let mut full_sink = VecSink::new();
-        full.push_chunk_with(&channels, &mut full_sink).unwrap();
-        assert_eq!(full_sink.events().len(), shed_sink.events().len());
-        for (a, b) in full_sink.events().iter().zip(shed_sink.events()) {
+        let mut full_events = Vec::new();
+        full.push_chunk_with(&channels, &mut full_events).unwrap();
+        assert_eq!(full_events.len(), shed_events.len());
+        for (a, b) in full_events.iter().zip(&shed_events) {
             assert_eq!(a.frame_index, b.frame_index);
             assert_eq!(a.class, b.class);
             assert_eq!(a.confidence, b.confidence);
@@ -1377,7 +1300,7 @@ mod tests {
     fn interleaved_layout_errors_are_typed() {
         let mut session = PipelineBuilder::new(16_000.0).channels(2).build().unwrap();
         let odd = [0.0f64; 5];
-        let mut sink = VecSink::new();
+        let mut sink = Vec::new();
         let err = session
             .push_input_with(AudioInput::interleaved(&odd[..], 2), &mut sink)
             .unwrap_err();
@@ -1407,12 +1330,17 @@ mod tests {
 
         // Accumulate drive-mode state, detour through park, return to drive.
         let mut toured = engine.open_session();
+        let mut ignored = AlertCounter::new();
         for i in 0..8 {
-            toured.process_frame(&[frame_a], i).unwrap();
+            toured
+                .process_frame_with(&[frame_a], i, &mut ignored)
+                .unwrap();
         }
         toured.set_mode(OperatingMode::Park);
         for i in 8..16 {
-            toured.process_frame(&[frame_a], i).unwrap();
+            toured
+                .process_frame_with(&[frame_a], i, &mut ignored)
+                .unwrap();
         }
         toured.set_mode(OperatingMode::Drive);
 
@@ -1420,9 +1348,14 @@ mod tests {
         // frames: no trigger noise floor or tracker state may survive the tour.
         let mut fresh = engine.open_session();
         for i in 0..4 {
-            let toured_event = toured.process_frame(&[frame_b], i).unwrap();
-            let fresh_event = fresh.process_frame(&[frame_b], i).unwrap();
-            assert_eq!(toured_event, fresh_event, "frame {i}");
+            let (mut toured_events, mut fresh_events) = (Vec::new(), Vec::new());
+            toured
+                .process_frame_with(&[frame_b], i, &mut toured_events)
+                .unwrap();
+            fresh
+                .process_frame_with(&[frame_b], i, &mut fresh_events)
+                .unwrap();
+            assert_eq!(toured_events, fresh_events, "frame {i}");
         }
 
         // Re-setting the current mode is a no-op: it must not reset mid-stream
@@ -1430,7 +1363,8 @@ mod tests {
         let mut park = engine.open_session();
         park.set_mode(OperatingMode::Park);
         for i in 0..6 {
-            park.process_frame(&[frame_a], i).unwrap();
+            park.process_frame_with(&[frame_a], i, &mut ignored)
+                .unwrap();
         }
         let seen = park.stages.trigger.trigger().frames_seen();
         assert!(seen > 0);

@@ -100,17 +100,6 @@ impl LatencyReport {
             self.total_ms() / self.frames as f64
         }
     }
-
-    /// Merges another report into this one (summing stage statistics and frames).
-    pub fn merge(&mut self, other: &LatencyReport) {
-        for (name, stage) in &other.stages {
-            let entry = self.stages.entry(name.clone()).or_default();
-            entry.invocations += stage.invocations;
-            entry.total_ms += stage.total_ms;
-            entry.max_ms = entry.max_ms.max(stage.max_ms);
-        }
-        self.frames += other.frames;
-    }
 }
 
 impl std::fmt::Display for LatencyReport {
@@ -167,21 +156,6 @@ mod tests {
         });
         assert!(value > 0);
         assert!(report.stage("work").unwrap().total_ms >= 0.0);
-    }
-
-    #[test]
-    fn merge_combines_reports() {
-        let mut a = LatencyReport::new();
-        a.record("x", 1.0);
-        a.count_frame();
-        let mut b = LatencyReport::new();
-        b.record("x", 3.0);
-        b.record("y", 2.0);
-        b.count_frame();
-        a.merge(&b);
-        assert_eq!(a.stage("x").unwrap().invocations, 2);
-        assert!(a.stage("y").is_some());
-        assert_eq!(a.frames(), 2);
     }
 
     #[test]

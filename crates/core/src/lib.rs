@@ -23,10 +23,9 @@
 //! or planar, `i16`/`f32`/`f64`), is de-interleaved and converted directly into
 //! the frame assembler's rings, and results leave **by reference** through an
 //! [`sink::EventSink`] — in steady state the whole path from chunk ingestion to
-//! event emission performs zero heap allocations. `Vec`-returning convenience
-//! wrappers remain for experiments and quick scripts, and
-//! [`pipeline::AcousticPerceptionPipeline`] names the classic single-stream case
-//! (a session on a private engine).
+//! event emission performs zero heap allocations. Every entry point takes a sink;
+//! a `Vec<PerceptionEvent>` is one, for callers that want the events collected.
+//! Many concurrent streams are served by `ispot-serve`'s `SessionHost`.
 //!
 //! # Example
 //!
@@ -76,7 +75,6 @@ pub mod mode;
 pub mod pipeline;
 pub mod sink;
 pub mod stages;
-pub mod stream;
 pub mod trigger;
 
 pub use error::PipelineError;
@@ -89,10 +87,9 @@ pub mod prelude {
     pub use crate::input::AudioInput;
     pub use crate::latency::{LatencyReport, StageLatency};
     pub use crate::mode::OperatingMode;
-    pub use crate::pipeline::{AcousticPerceptionPipeline, PipelineConfig};
-    pub use crate::sink::{AlertCounter, EventSink, FnSink, LatestEvent, VecSink};
+    pub use crate::pipeline::PipelineConfig;
+    pub use crate::sink::{AlertCounter, EventSink, FnSink};
     pub use crate::stages::{FrameOutcome, ObsCtx, Stage, StageGraph};
-    pub use crate::stream::StreamRunner;
     pub use crate::trigger::{EnergyTrigger, TriggerConfig};
     pub use ispot_obs::{Span, SpanRing, StageId, StageObserver, TickSource};
     pub use ispot_ssl::multitrack::{TrackId, TrackSnapshot, TrackStatus, TrackingConfig};

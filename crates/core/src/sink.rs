@@ -1,8 +1,7 @@
 //! Event sinks: zero-copy consumers of pipeline output.
 //!
-//! Every streaming entry point of the pipeline ([`Session::process_frame_with`],
-//! [`Session::push_chunk_with`], [`Session::push_input_with`],
-//! [`Session::process_recording_with`], [`StreamRunner::run_with`]) emits
+//! Every entry point of a [`Session`] ([`process_frame_with`],
+//! [`push_chunk_with`], [`push_input_with`], [`process_recording_with`]) emits
 //! [`PerceptionEvent`]s **by reference** through a caller-supplied [`EventSink`].
 //! The event is built on the stack and handed to the sink; nothing is boxed,
 //! cloned or collected unless the sink chooses to — so a sink that only counts,
@@ -10,16 +9,13 @@
 //! zero heap allocations per frame in steady state.
 //!
 //! `Vec<PerceptionEvent>` implements `EventSink` by cloning each event into the
-//! vector, which is what the thin `Vec`-returning convenience wrappers
-//! ([`Session::push_chunk`], [`Session::process_recording`]) use internally.
+//! vector: pass `&mut Vec::new()` to any entry point to collect its events.
 //!
-//! [`Session::process_frame_with`]: crate::api::Session::process_frame_with
-//! [`Session::push_chunk_with`]: crate::api::Session::push_chunk_with
-//! [`Session::push_input_with`]: crate::api::Session::push_input_with
-//! [`Session::process_recording_with`]: crate::api::Session::process_recording_with
-//! [`Session::push_chunk`]: crate::api::Session::push_chunk
-//! [`Session::process_recording`]: crate::api::Session::process_recording
-//! [`StreamRunner::run_with`]: crate::stream::StreamRunner::run_with
+//! [`Session`]: crate::api::Session
+//! [`process_frame_with`]: crate::api::Session::process_frame_with
+//! [`push_chunk_with`]: crate::api::Session::push_chunk_with
+//! [`push_input_with`]: crate::api::Session::push_input_with
+//! [`process_recording_with`]: crate::api::Session::process_recording_with
 
 use crate::events::PerceptionEvent;
 use crate::stages::FrameOutcome;
@@ -58,82 +54,10 @@ pub trait EventSink {
     }
 }
 
-/// Events are cloned into the vector; frame outcomes are ignored. This is the
-/// adapter behind the `Vec`-returning convenience wrappers.
+/// Events are cloned into the vector; frame outcomes are ignored.
 impl EventSink for Vec<PerceptionEvent> {
     fn on_event(&mut self, event: &PerceptionEvent) {
         self.push(event.clone());
-    }
-}
-
-/// A sink that collects every event into an owned `Vec`.
-///
-/// Functionally equivalent to sinking into a `Vec<PerceptionEvent>` directly;
-/// exists as a named adapter for code that wants to be explicit about the
-/// collection behaviour.
-#[derive(Debug, Clone, Default)]
-pub struct VecSink {
-    events: Vec<PerceptionEvent>,
-}
-
-impl VecSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        VecSink::default()
-    }
-
-    /// The events collected so far.
-    pub fn events(&self) -> &[PerceptionEvent] {
-        &self.events
-    }
-
-    /// Consumes the sink, returning the collected events.
-    pub fn into_events(self) -> Vec<PerceptionEvent> {
-        self.events
-    }
-
-    /// Discards the collected events, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-}
-
-impl EventSink for VecSink {
-    fn on_event(&mut self, event: &PerceptionEvent) {
-        self.events.push(event.clone());
-    }
-}
-
-/// A sink that keeps only the most recent event — a fixed-size slot, so feeding
-/// it never allocates ([`PerceptionEvent`] owns no heap memory).
-///
-/// This is the typical shape of a real-time alerting consumer: the HMI shows the
-/// latest alert, not a history.
-#[derive(Debug, Clone, Default)]
-pub struct LatestEvent {
-    latest: Option<PerceptionEvent>,
-}
-
-impl LatestEvent {
-    /// Creates an empty slot.
-    pub fn new() -> Self {
-        LatestEvent::default()
-    }
-
-    /// The most recent event, if any was emitted.
-    pub fn latest(&self) -> Option<&PerceptionEvent> {
-        self.latest.as_ref()
-    }
-
-    /// Takes the most recent event, leaving the slot empty.
-    pub fn take(&mut self) -> Option<PerceptionEvent> {
-        self.latest.take()
-    }
-}
-
-impl EventSink for LatestEvent {
-    fn on_event(&mut self, event: &PerceptionEvent) {
-        self.latest = Some(event.clone());
     }
 }
 
@@ -212,28 +136,12 @@ mod tests {
     }
 
     #[test]
-    fn vec_and_vecsink_collect_clones() {
+    fn vec_collects_clones_and_ignores_frames() {
         let e = event(EventClass::WailSiren, 0.9);
         let mut vec: Vec<PerceptionEvent> = Vec::new();
         vec.on_event(&e);
-        assert_eq!(vec.len(), 1);
-        let mut sink = VecSink::new();
-        sink.on_event(&e);
-        sink.on_frame(&FrameOutcome::Analyzed);
-        assert_eq!(sink.events(), &vec[..]);
-        sink.clear();
-        assert!(sink.events().is_empty());
-    }
-
-    #[test]
-    fn latest_event_keeps_only_the_newest() {
-        let mut sink = LatestEvent::new();
-        assert!(sink.latest().is_none());
-        sink.on_event(&event(EventClass::CarHorn, 0.4));
-        sink.on_event(&event(EventClass::WailSiren, 0.8));
-        assert_eq!(sink.latest().unwrap().class, EventClass::WailSiren);
-        assert_eq!(sink.take().unwrap().confidence, 0.8);
-        assert!(sink.latest().is_none());
+        vec.on_frame(&FrameOutcome::Analyzed);
+        assert_eq!(vec, [e]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The perception pipeline as a graph of named stages.
 //!
 //! The end-to-end analysis — wake trigger → detection → localization → tracking —
-//! used to live inline in `AcousticPerceptionPipeline::process_frame`. This module
+//! runs once per frame of a [`Session`](crate::api::Session). This module
 //! factors each step into a [`Stage`] with a stable name (the key under which the
 //! [`LatencyReport`] accounts its cost) and composes them in a [`StageGraph`] that
 //! owns all per-frame scratch memory. The graph's steady-state frame path performs
@@ -17,12 +17,11 @@ use crate::error::PipelineError;
 use crate::latency::LatencyReport;
 use crate::trigger::{EnergyTrigger, TriggerConfig};
 use ispot_obs::{Span, StageId, StageObserver, TickSource};
-use ispot_roadsim::microphone::MicrophoneArray;
 use ispot_sed::baseline::{DetectorScratch, SpectralTemplateDetector};
 use ispot_sed::EventClass;
 use ispot_ssl::multitrack::{MultiTargetTracker, TrackSnapshot, TrackingConfig};
 use ispot_ssl::srp_fast::SrpPhatFast;
-use ispot_ssl::srp_phat::{Peak, SrpConfig, SrpMap, SrpScratch};
+use ispot_ssl::srp_phat::{Peak, SrpMap, SrpScratch};
 use std::sync::Arc;
 
 /// A named unit of per-frame work inside the perception pipeline.
@@ -129,15 +128,6 @@ impl DetectStage {
             detector.predict_with_confidence_into(mono, scratch)
         })?)
     }
-
-    /// Classifies an arbitrary-length mono clip outside the frame path (diagnostics).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the clip is shorter than one detector frame.
-    pub fn classify_clip(&self, audio: &[f64]) -> Result<EventClass, PipelineError> {
-        Ok(self.detector.predict(audio)?)
-    }
 }
 
 impl Stage for DetectStage {
@@ -182,29 +172,6 @@ struct ActiveLocalizer {
 }
 
 impl LocalizeStage {
-    /// Creates a disabled stage (detection-only pipelines).
-    pub fn disabled() -> Self {
-        Self::shared(None, TrackingConfig::default())
-    }
-
-    /// Creates the stage for a microphone array (disabled for mono arrays),
-    /// with the default peak-extraction settings.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the SRP-PHAT localizer cannot be built.
-    pub fn for_array(
-        config: SrpConfig,
-        array: &MicrophoneArray,
-        sample_rate: f64,
-    ) -> Result<Self, PipelineError> {
-        if array.len() < 2 {
-            return Ok(Self::disabled());
-        }
-        let srp = Arc::new(SrpPhatFast::new(config, array, sample_rate)?);
-        Ok(Self::shared(Some(srp), TrackingConfig::default()))
-    }
-
     /// Creates the stage around an existing shared localizer (or a disabled stage
     /// for `None`), allocating only the per-stream scratch, output map and peak
     /// list. This is the cheap per-session constructor used by the engine; the
@@ -283,24 +250,6 @@ impl LocalizeStage {
         }
     }
 
-    /// Localizes the frame, returning the azimuth of the **strongest** peak in
-    /// degrees (None when disabled). Convenience wrapper around
-    /// [`LocalizeStage::localize_peaks`] for single-source consumers.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`LocalizeStage::localize_peaks`].
-    pub fn localize(
-        &mut self,
-        frame: &[&[f64]],
-        latency: &mut LatencyReport,
-    ) -> Result<Option<f64>, PipelineError> {
-        Ok(self
-            .localize_peaks(frame, latency)?
-            .and_then(|peaks| peaks.first())
-            .map(|p| p.azimuth_deg))
-    }
-
     /// The SRP map produced by the most recent localize call (empty before the
     /// first frame; None when the stage is disabled).
     pub fn last_map(&self) -> Option<&SrpMap> {
@@ -341,21 +290,6 @@ pub struct TrackStage {
 }
 
 impl TrackStage {
-    /// Creates the stage with the default tracking configuration at the given
-    /// per-track process / measurement noise (degrees²).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::InvalidConfig`] if either noise value is not a
-    /// positive finite number.
-    pub fn new(process_noise: f64, measurement_noise: f64) -> Result<Self, PipelineError> {
-        Self::with_config(TrackingConfig {
-            process_noise,
-            measurement_noise,
-            ..TrackingConfig::default()
-        })
-    }
-
     /// Creates the stage from a full tracking configuration.
     ///
     /// # Errors
@@ -375,19 +309,6 @@ impl TrackStage {
         let tracker = &mut self.tracker;
         latency.time("tracking", || tracker.update(peaks));
         self.best().map(|t| t.azimuth_deg)
-    }
-
-    /// Feeds one bare azimuth measurement (a single full-salience peak),
-    /// returning the smoothed azimuth of the best track. Kept for
-    /// single-source consumers of the classic API.
-    pub fn track(&mut self, azimuth_deg: f64, latency: &mut LatencyReport) -> f64 {
-        let peak = Peak {
-            index: 0,
-            azimuth_deg,
-            power: 1.0,
-            salience: 1.0,
-        };
-        self.track_peaks(&[peak], latency).unwrap_or(azimuth_deg)
     }
 
     /// Snapshots of every live track after the most recent update, best first.
@@ -499,7 +420,7 @@ fn observe<T>(obs: &mut Option<ObsCtx<'_>>, stage: StageId, body: impl FnOnce() 
     }
 }
 
-/// Inputs controlling one [`StageGraph::run_frame`] call.
+/// Inputs controlling one [`StageGraph::run_frame_observed`] call.
 #[derive(Debug, Clone, Copy)]
 pub struct FrameParams {
     /// Gate the expensive stages behind the wake trigger (park mode).
@@ -536,37 +457,20 @@ impl StageGraph {
         self.track.reset();
     }
 
-    /// Runs the graph on one multichannel frame.
+    /// Runs the graph on one multichannel frame, emitting a timing [`Span`]
+    /// per executed stage into `obs` when an observation context is attached.
     ///
     /// The steady-state path performs no heap allocation: the mixdown reuses the
-    /// preallocated scratch and all stages borrow it.
+    /// preallocated scratch and all stages borrow it. `obs == None` costs one
+    /// branch per stage; an attached observer adds only two tick reads and an
+    /// `on_span` call per stage — the instrumented path stays allocation-free
+    /// (pinned by the serve-layer counting-allocator test) and stage results
+    /// are bit-for-bit unaffected.
     ///
     /// # Errors
     ///
     /// Returns an error if `frame` is empty or any channel does not hold exactly
     /// `frame_len` samples, or if the detection or localization stage fails.
-    pub fn run_frame(
-        &mut self,
-        frame: &[&[f64]],
-        params: FrameParams,
-        latency: &mut LatencyReport,
-    ) -> Result<FrameOutcome, PipelineError> {
-        self.run_frame_observed(frame, params, latency, None)
-    }
-
-    /// Runs the graph on one multichannel frame, emitting a timing [`Span`]
-    /// per executed stage into `obs` when an observation context is attached.
-    ///
-    /// This is [`StageGraph::run_frame`] with instrumentation: `obs == None`
-    /// takes the identical code path plus one branch per stage, and an
-    /// attached observer adds only two tick reads and an `on_span` call per
-    /// stage — the instrumented path stays allocation-free (pinned by the
-    /// serve-layer counting-allocator test) and stage results are bit-for-bit
-    /// unaffected.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`StageGraph::run_frame`].
     pub fn run_frame_observed(
         &mut self,
         frame: &[&[f64]],
@@ -657,8 +561,8 @@ mod tests {
         StageGraph::new(
             TriggerStage::new(TriggerConfig::default()),
             DetectStage::new(16_000.0).unwrap(),
-            LocalizeStage::disabled(),
-            TrackStage::new(1.0, 36.0).unwrap(),
+            LocalizeStage::shared(None, TrackingConfig::default()),
+            TrackStage::with_config(TrackingConfig::default()).unwrap(),
             frame_len,
         )
     }
@@ -684,7 +588,9 @@ mod tests {
             confidence_threshold: 0.2,
         };
         let frame = [&siren[0..2048]];
-        let outcome = g.run_frame(&frame, params, &mut latency).unwrap();
+        let outcome = g
+            .run_frame_observed(&frame, params, &mut latency, None)
+            .unwrap();
         match outcome {
             FrameOutcome::Detection {
                 class,
@@ -716,7 +622,10 @@ mod tests {
         // floor and keeps gating silence.
         let mut gated = 0;
         for _ in 0..20 {
-            if g.run_frame(&[&quiet], params, &mut latency).unwrap() == FrameOutcome::Gated {
+            let outcome = g
+                .run_frame_observed(&[&quiet], params, &mut latency, None)
+                .unwrap();
+            if outcome == FrameOutcome::Gated {
                 gated += 1;
             }
         }
@@ -736,35 +645,43 @@ mod tests {
         };
         let empty: [&[f64]; 0] = [];
         assert!(matches!(
-            g.run_frame(&empty, params, &mut latency),
+            g.run_frame_observed(&empty, params, &mut latency, None),
             Err(PipelineError::InvalidConfig { .. })
         ));
         let short = vec![0.0; 100];
         let ok = vec![0.0; 512];
         assert!(matches!(
-            g.run_frame(&[&ok, &short], params, &mut latency),
+            g.run_frame_observed(&[&ok, &short], params, &mut latency, None),
             Err(PipelineError::InvalidConfig { .. })
         ));
         // A well-formed frame still runs after the rejected ones.
-        assert!(g.run_frame(&[&ok], params, &mut latency).is_ok());
+        assert!(g
+            .run_frame_observed(&[&ok], params, &mut latency, None)
+            .is_ok());
     }
 
     #[test]
     fn localize_stage_exposes_its_map_and_reuses_it() {
         use ispot_roadsim::geometry::Position;
+        use ispot_roadsim::microphone::MicrophoneArray;
+        use ispot_ssl::srp_phat::SrpConfig;
         let fs = 16_000.0;
         let array = MicrophoneArray::circular(4, 0.2, Position::new(0.0, 0.0, 1.0));
-        let mut stage = LocalizeStage::for_array(SrpConfig::default(), &array, fs).unwrap();
+        let srp = Arc::new(SrpPhatFast::new(SrpConfig::default(), &array, fs).unwrap());
+        let mut stage = LocalizeStage::shared(Some(srp), TrackingConfig::default());
         assert!(stage.is_available());
         assert!(stage.last_map().is_some());
         let mut latency = LatencyReport::new();
         let ch: Vec<f64> = (0..2048).map(|i| (i as f64 * 0.11).sin()).collect();
         let frame: Vec<&[f64]> = vec![&ch; 4];
-        let az = stage.localize(&frame, &mut latency).unwrap();
-        assert!(az.is_some());
+        let peaks = stage.localize_peaks(&frame, &mut latency).unwrap();
+        assert!(peaks.is_some_and(|p| !p.is_empty()));
         assert_eq!(stage.last_map().unwrap().len(), 181);
-        let mut disabled = LocalizeStage::disabled();
-        assert!(disabled.localize(&frame, &mut latency).unwrap().is_none());
+        let mut disabled = LocalizeStage::shared(None, TrackingConfig::default());
+        assert!(disabled
+            .localize_peaks(&frame, &mut latency)
+            .unwrap()
+            .is_none());
         assert!(disabled.last_map().is_none());
     }
 
@@ -779,7 +696,9 @@ mod tests {
         };
         let quiet = vec![1e-6; 512];
         for _ in 0..5 {
-            let _ = g.run_frame(&[&quiet], params, &mut latency).unwrap();
+            let _ = g
+                .run_frame_observed(&[&quiet], params, &mut latency, None)
+                .unwrap();
         }
         assert!(g.trigger.trigger().frames_seen() > 0);
         g.reset();

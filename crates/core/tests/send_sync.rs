@@ -14,7 +14,7 @@
 //! the harness reports the file instead of silently linking it.
 
 use ispot_core::prelude::*;
-use ispot_core::sink::{AlertCounter, VecSink};
+use ispot_core::sink::AlertCounter;
 use ispot_core::stages::FrameOutcome;
 
 const fn assert_send<T: Send>() {}
@@ -30,8 +30,7 @@ const _: () = {
     assert_send_sync::<PerceptionEvent>();
     assert_send_sync::<FrameOutcome>();
     // The bundled sink adapters must compose into `Box<dyn EventSink + Send>`.
-    assert_send::<VecSink>();
-    assert_send::<LatestEvent>();
+    assert_send::<Vec<PerceptionEvent>>();
     assert_send::<AlertCounter>();
     // Builder and config travel to whatever thread constructs the engine.
     assert_send_sync::<PipelineBuilder>();

@@ -2,11 +2,11 @@
 //!
 //! Acoustic feature extraction for automotive sound analysis.
 //!
-//! The state-of-the-art emergency-sound detectors surveyed in Sec. III of the I-SPOT
-//! paper use time–frequency representations as network inputs: spectrograms,
-//! gammatonegrams, MFCCs, GFCCs, constant-Q transforms and chromagrams, alongside the
-//! raw waveform. This crate implements all of them on top of the `ispot-dsp` STFT, plus
-//! the GCC-PHAT cross-correlation used by the localization front-end.
+//! The emergency-sound detectors surveyed in Sec. III of the I-SPOT paper use
+//! time–frequency representations as network inputs. This crate implements the ones
+//! the workspace consumes, on top of the `ispot-dsp` STFT: spectrograms, the mel
+//! filterbank behind the runtime detector's log-mel features, and MFCCs, plus the
+//! GCC-PHAT cross-correlation used by the localization front-end.
 //!
 //! # Example
 //!
@@ -25,12 +25,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod chroma;
-pub mod cqt;
-pub mod delta;
 pub mod error;
-pub mod framing;
-pub mod gammatone;
 pub mod gcc;
 pub mod matrix;
 pub mod mel;
@@ -42,12 +37,7 @@ pub use matrix::FeatureMatrix;
 
 /// Commonly used items, for glob import.
 pub mod prelude {
-    pub use crate::chroma::ChromaExtractor;
-    pub use crate::cqt::{CqtConfig, CqtExtractor};
-    pub use crate::delta::append_deltas;
     pub use crate::error::FeatureError;
-    pub use crate::framing::frame_signal;
-    pub use crate::gammatone::{GammatoneConfig, GammatoneExtractor};
     pub use crate::gcc::{gcc_phat, GccPhat};
     pub use crate::matrix::FeatureMatrix;
     pub use crate::mel::MelFilterbank;

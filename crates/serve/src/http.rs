@@ -198,6 +198,15 @@ fn parse_get_target(request: &str) -> Option<&str> {
     parts.next()
 }
 
+/// The `limit=N` parameter of an `/events` query string, if present and a
+/// valid `u64`.
+fn parse_limit(query: &str) -> Option<u64> {
+    query
+        .split('&')
+        .find_map(|pair| pair.strip_prefix("limit="))
+        .and_then(|v| v.parse().ok())
+}
+
 fn respond(
     stream: &mut TcpStream,
     status: &str,
@@ -221,10 +230,7 @@ fn serve_events(
     shutdown: &AtomicBool,
     query: &str,
 ) -> std::io::Result<()> {
-    let limit: Option<u64> = query
-        .split('&')
-        .find_map(|pair| pair.strip_prefix("limit="))
-        .and_then(|v| v.parse().ok());
+    let limit = parse_limit(query);
     stream.write_all(
         b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nConnection: close\r\n\r\n",
     )?;
@@ -438,6 +444,88 @@ fn latest_perception(inner: &Arc<HostInner>) -> Option<(u64, FeedEvent)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The request-parsing path of [`serve_connection`] on a raw head: lossy
+    /// decoding as in [`read_request_head`], the start line, the path/query
+    /// split and, for any query, the `limit` parse.
+    fn parse_head(bytes: &[u8]) -> Option<(String, Option<u64>)> {
+        let request = String::from_utf8_lossy(bytes);
+        let target = parse_get_target(&request)?;
+        let query = target.split_once('?').map_or("", |(_, q)| q);
+        Some((target.to_string(), parse_limit(query)))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary bytes never panic the parser, and any target it returns
+        /// is one whitespace-free token of the first line.
+        #[test]
+        fn random_heads_parse_without_panicking(
+            bytes in prop::collection::vec(0u8..=255, 0..600),
+        ) {
+            let request = String::from_utf8_lossy(&bytes);
+            if let Some((target, _)) = parse_head(&bytes) {
+                prop_assert!(!target.is_empty());
+                prop_assert!(!target.contains(char::is_whitespace));
+                prop_assert!(request.lines().next().unwrap_or("").contains(&target));
+            }
+        }
+
+        /// A start line cut anywhere yields no target or a prefix of the
+        /// real one, never anything else.
+        #[test]
+        fn truncated_start_lines_yield_a_prefix_or_nothing(cut in 0usize..64) {
+            let full = "GET /events?limit=12 HTTP/1.1\r\nHost: x\r\n\r\n";
+            let cut = cut.min(full.len());
+            if let Some((target, limit)) = parse_head(&full.as_bytes()[..cut]) {
+                prop_assert!("/events?limit=12".starts_with(&target), "{target}");
+                prop_assert!(limit.is_none() || limit == Some(1) || limit == Some(12));
+            }
+        }
+
+        /// Heads past the 4 KiB read bound — a long start line or long
+        /// headers of arbitrary bytes — still parse to their target.
+        #[test]
+        fn oversized_heads_still_parse(
+            path_len in 0usize..6000,
+            header in prop::collection::vec(0u8..=255, 4096..8192),
+        ) {
+            let path = format!("/{}", "a".repeat(path_len));
+            let mut head = format!("GET {path}?limit=7 HTTP/1.1\r\nX-Pad: ").into_bytes();
+            head.extend_from_slice(&header);
+            let parsed = parse_head(&head);
+            prop_assert_eq!(parsed, Some((format!("{path}?limit=7"), Some(7))));
+        }
+
+        /// Random query strings over the characters that matter to the
+        /// `limit` parse never panic it, and a parsed limit was spelled out.
+        #[test]
+        fn random_queries_parse_without_panicking(
+            chars in prop::collection::vec(0usize..16, 0..40),
+        ) {
+            const ALPHABET: &[u8] = b"limit=0123&+-9%";
+            let query: String = chars
+                .iter()
+                .map(|&i| char::from(*ALPHABET.get(i).unwrap_or(&b'x')))
+                .collect();
+            if let Some(n) = parse_limit(&query) {
+                prop_assert!(query.contains("limit="), "{query}");
+                prop_assert!(query.contains(&n.to_string()), "{query}");
+            }
+        }
+    }
+
+    #[test]
+    fn limit_parse_rejects_overflow_and_junk() {
+        assert_eq!(parse_limit("limit=3"), Some(3));
+        assert_eq!(parse_limit("x=1&limit=5&limit=9"), Some(5));
+        assert_eq!(parse_limit("limit=18446744073709551616"), None);
+        assert_eq!(parse_limit("limit=-1"), None);
+        assert_eq!(parse_limit("limit="), None);
+        assert_eq!(parse_limit(""), None);
+    }
 
     #[test]
     fn get_targets_parse() {

@@ -66,9 +66,9 @@ fn chunk_spans(len: usize, sizes: &[usize]) -> Vec<(usize, usize)> {
 /// Ground truth: a bare session fed the whole recording at once.
 fn reference_events(engine: &Engine, audio: &MultichannelAudio) -> Vec<PerceptionEvent> {
     let mut session = engine.open_session();
-    let mut sink = VecSink::new();
-    session.process_recording_with(audio, &mut sink).unwrap();
-    sink.into_events()
+    let mut events = Vec::new();
+    session.process_recording_with(audio, &mut events).unwrap();
+    events
 }
 
 /// Pushes the recording into `streams` hosted streams chunk-by-chunk and

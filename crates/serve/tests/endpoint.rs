@@ -2,7 +2,8 @@
 //! on, drives real siren audio through a stream, then speaks actual HTTP to
 //! the exporter over a loopback socket — `/metrics` must expose the required
 //! families with live values, `/snapshot` must parse as a sane JSON document,
-//! and `/events` must deliver at least one SSE perception event.
+//! and `/events` must deliver at least one SSE perception event. Malformed
+//! and oversized request heads must not stop the exporter answering.
 
 use ispot_core::prelude::*;
 use ispot_roadsim::geometry::Position;
@@ -26,6 +27,20 @@ fn get(addr: SocketAddr, target: &str) -> String {
     write!(stream, "GET {target} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
     let mut response = String::new();
     stream.read_to_string(&mut response).expect("read response");
+    response
+}
+
+/// Sends raw bytes as a request and returns whatever comes back. The
+/// exporter may close before reading all of an oversized head, so write and
+/// read errors belong to this client and are ignored.
+fn send_raw(addr: SocketAddr, bytes: &[u8]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(addr).expect("connect to endpoint");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let _ = stream.write_all(bytes);
+    let mut response = Vec::new();
+    let _ = stream.read_to_end(&mut response);
     response
 }
 
@@ -174,4 +189,37 @@ fn endpoint_serves_metrics_snapshot_and_events() {
     drop(endpoint); // joins the exporter thread
     let stats = host.close_stream(id).unwrap();
     assert_eq!(stats.events, sink.events());
+}
+
+#[test]
+fn malformed_heads_leave_the_accept_loop_live() {
+    let engine = PipelineBuilder::new(FS).build_engine().unwrap();
+    let host = SessionHost::new(
+        engine,
+        HostConfig {
+            workers: 1,
+            ..HostConfig::default()
+        },
+    )
+    .unwrap();
+    let endpoint = host.serve_http("127.0.0.1:0").expect("bind endpoint");
+    let addr = endpoint.addr();
+
+    // A complete head that is not UTF-8 and has no GET start line.
+    let garbage: Vec<u8> = (0u8..=255).rev().chain(*b"\r\n\r\n").collect();
+    let response = send_raw(addr, &garbage);
+    assert!(
+        response.starts_with(b"HTTP/1.1 405"),
+        "{}",
+        String::from_utf8_lossy(&response)
+    );
+
+    // A head far past the 4 KiB read bound.
+    let mut oversized = b"GET /nope HTTP/1.1\r\nX-Pad: ".to_vec();
+    oversized.resize(64 * 1024, b'a');
+    send_raw(addr, &oversized);
+
+    // The same exporter still answers.
+    let response = get(addr, "/metrics");
+    assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
 }

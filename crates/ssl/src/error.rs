@@ -2,7 +2,6 @@
 
 use ispot_dsp::DspError;
 use ispot_features::FeatureError;
-use ispot_nn::NnError;
 use std::error::Error;
 use std::fmt;
 
@@ -39,8 +38,6 @@ pub enum SslError {
     Dsp(DspError),
     /// A feature-extraction step failed.
     Feature(FeatureError),
-    /// A neural-network step failed.
-    Nn(NnError),
 }
 
 impl fmt::Display for SslError {
@@ -65,7 +62,6 @@ impl fmt::Display for SslError {
             }
             SslError::Dsp(e) => write!(f, "dsp error: {e}"),
             SslError::Feature(e) => write!(f, "feature error: {e}"),
-            SslError::Nn(e) => write!(f, "neural network error: {e}"),
         }
     }
 }
@@ -75,7 +71,6 @@ impl Error for SslError {
         match self {
             SslError::Dsp(e) => Some(e),
             SslError::Feature(e) => Some(e),
-            SslError::Nn(e) => Some(e),
             _ => None,
         }
     }
@@ -90,12 +85,6 @@ impl From<DspError> for SslError {
 impl From<FeatureError> for SslError {
     fn from(e: FeatureError) -> Self {
         SslError::Feature(e)
-    }
-}
-
-impl From<NnError> for SslError {
-    fn from(e: NnError) -> Self {
-        SslError::Nn(e)
     }
 }
 
@@ -130,7 +119,7 @@ mod tests {
         };
         assert!(e.to_string().contains("lag_tables"));
         assert!(e.to_string().contains("765"));
-        let wrapped: SslError = NnError::EmptyModel.into();
+        let wrapped: SslError = DspError::invalid_parameter("n_fft", "must be positive").into();
         assert!(Error::source(&wrapped).is_some());
     }
 

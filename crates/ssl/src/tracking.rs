@@ -1,6 +1,6 @@
 //! Azimuth tracking with a constant-velocity Kalman filter.
 //!
-//! The "t" in SELD(t) — tracking — smooths the per-frame DOA estimates of a moving
+//! Tracking smooths the per-frame DOA estimates of a moving
 //! source (e.g. an approaching emergency vehicle) and bridges frames where the
 //! detector is uncertain.
 

@@ -47,20 +47,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Stream the recording in capture-sized chunks (10 ms blocks at 16 kHz),
     //    sinking events by reference as they fire — the deployment shape of the
-    //    API. A `VecSink` collects them; an `AlertCounter` would keep the path
+    //    API. A `Vec` collects them; an `AlertCounter` would keep the path
     //    allocation-free.
-    let mut sink = VecSink::new();
+    let mut events = Vec::new();
     let block = 160;
     let mut start = 0;
     while start < audio.len() {
         let end = (start + block).min(audio.len());
         let chunk: Vec<&[f64]> = audio.channels().iter().map(|c| &c[start..end]).collect();
-        session.push_chunk_with(&chunk, &mut sink)?;
+        session.push_chunk_with(&chunk, &mut events)?;
         start = end;
     }
 
     println!("\nperception events:");
-    for event in sink.events().iter().filter(|e| e.is_alert()) {
+    for event in events.iter().filter(|e| e.is_alert()) {
         println!("  {}", event.summary());
     }
     println!("\nlatency breakdown:\n{}", session.latency_report());

@@ -1,6 +1,6 @@
 //! Property-based tests for the ingestion layer: every sample format and layout
-//! of the same physical signal must produce identical perception events, and the
-//! sink-based and `Vec`-wrapper entry points must agree under any chunking.
+//! of the same physical signal must produce identical perception events, and a
+//! caller-supplied sink and the `Vec` sink must agree under any chunking.
 
 use ispot::core::prelude::*;
 use proptest::prelude::*;
@@ -96,8 +96,8 @@ proptest! {
         prop_assert_eq!(&reference, &via_f32);
     }
 
-    /// Sink-based and `Vec`-wrapper entry points agree for any chunking, and
-    /// both match batch processing of the whole stream.
+    /// A caller-supplied sink and the `Vec` sink see the same events for any
+    /// chunking, and both match batch processing of the whole stream.
     #[test]
     fn sink_and_vec_entry_points_agree_chunk_size_invariantly(
         which in 0usize..3,
@@ -108,25 +108,26 @@ proptest! {
 
         // Whole stream in one push through the sink API (the batch reference).
         let mut batch = engine().open_session();
-        let mut batch_sink = VecSink::new();
+        let mut batch_events = Vec::new();
         let batch_frames = batch
-            .push_chunk_with(&[&as_f64[..]], &mut batch_sink)
+            .push_chunk_with(&[&as_f64[..]], &mut batch_events)
             .unwrap();
 
-        // Random chunking through the sink API...
+        // Random chunking through a caller-supplied sink...
         let (sink_frames, sink_events) = stream_with(pcm, &cuts, |s, block, events| {
             let chunk: Vec<f64> = block.iter().map(|&v| v as f64 / 32768.0).collect();
-            s.push_chunk_with(&[&chunk[..]], events).unwrap()
+            let mut sink = FnSink(|e: &PerceptionEvent| events.push(e.clone()));
+            s.push_chunk_with(&[&chunk[..]], &mut sink).unwrap()
         });
-        // ...and the same chunking through the Vec convenience wrapper.
+        // ...and the same chunking collected by the `Vec` sink.
         let (vec_frames, vec_events) = stream_with(pcm, &cuts, |s, block, events| {
             let chunk: Vec<f64> = block.iter().map(|&v| v as f64 / 32768.0).collect();
-            s.push_chunk_into(&[&chunk[..]], events).unwrap()
+            s.push_chunk_with(&[&chunk[..]], events).unwrap()
         });
 
         prop_assert_eq!(batch_frames, sink_frames);
         prop_assert_eq!(batch_frames, vec_frames);
-        prop_assert_eq!(batch_sink.events(), &sink_events[..]);
+        prop_assert_eq!(&batch_events, &sink_events);
         prop_assert_eq!(&sink_events, &vec_events);
     }
 }
