@@ -112,8 +112,22 @@ impl Manifest {
                         "track_peaks",
                         "run_frame_observed",
                         "observe",
+                        "mixdown",
                     ],
                 ),
+                // Detector feature path: the log-mel columns of every analyzed
+                // frame. Construction and the batch `predict` allocate by
+                // design.
+                entry(
+                    "crates/sed/src/baseline.rs",
+                    &[
+                        "predict_with_confidence_into",
+                        "mean_log_mel_into",
+                        "find_reuse",
+                        "reusable",
+                    ],
+                ),
+                entry("crates/features/src/mel.rs", &["apply_into"]),
                 // Observability substrate: everything a traced frame touches.
                 // Registration and snapshotting are cold and allocate by
                 // design; the record/push/read paths may not.
@@ -189,6 +203,7 @@ impl Manifest {
                         "inverse_real_into",
                         "check_len",
                         "transform_in_place",
+                        "butterflies",
                     ],
                 ),
                 entry("crates/dsp/src/stft.rs", &["frame_spectrum_into"]),

@@ -44,6 +44,10 @@ pub struct TriggerStage {
 }
 
 impl TriggerStage {
+    /// Stable stage name, shared by [`Stage::name`] and the latency accounting
+    /// in [`TriggerStage::gate`].
+    const NAME: &'static str = "trigger";
+
     /// Creates the stage from a trigger configuration.
     pub fn new(config: TriggerConfig) -> Self {
         TriggerStage {
@@ -55,7 +59,7 @@ impl TriggerStage {
     /// of the graph.
     pub fn gate(&mut self, mono: &[f64], latency: &mut LatencyReport) -> bool {
         let trigger = &mut self.trigger;
-        latency.time("trigger", || trigger.process_frame(mono))
+        latency.time(Self::NAME, || trigger.process_frame(mono))
     }
 
     /// Read access to the underlying trigger (duty cycle, noise floor).
@@ -66,7 +70,7 @@ impl TriggerStage {
 
 impl Stage for TriggerStage {
     fn name(&self) -> &'static str {
-        "trigger"
+        Self::NAME
     }
 
     fn reset(&mut self) {
@@ -80,7 +84,9 @@ impl Stage for TriggerStage {
 /// The detector itself (templates, filterbank, FFT plan) is immutable and shared
 /// behind an [`Arc`] — every session opened against one engine reuses the same
 /// weights — while the per-frame feature scratch is stage-owned, so the
-/// classification path performs no heap allocation.
+/// classification path performs no heap allocation. The scratch also keeps
+/// the previous frame's sub-frame log-mel columns, so overlapping frames of
+/// one stream transform only their new audio.
 #[derive(Debug)]
 pub struct DetectStage {
     detector: Arc<SpectralTemplateDetector>,
@@ -172,6 +178,10 @@ struct ActiveLocalizer {
 }
 
 impl LocalizeStage {
+    /// Stable stage name, shared by [`Stage::name`] and the latency accounting
+    /// in [`LocalizeStage::localize_peaks`].
+    const NAME: &'static str = "localization";
+
     /// Creates the stage around an existing shared localizer (or a disabled stage
     /// for `None`), allocating only the per-stream scratch, output map and peak
     /// list. This is the cheap per-session constructor used by the engine; the
@@ -235,7 +245,7 @@ impl LocalizeStage {
             }) => {
                 let (max_peaks, min_sep, retain) =
                     (self.max_peaks, self.min_separation_deg, self.map_smoothing);
-                latency.time("localization", || -> Result<(), PipelineError> {
+                latency.time(Self::NAME, || -> Result<(), PipelineError> {
                     srp.compute_map_into(frame, scratch, map)?;
                     if retain > 0.0 {
                         smoothed.smooth_from(map, retain);
@@ -255,17 +265,11 @@ impl LocalizeStage {
     pub fn last_map(&self) -> Option<&SrpMap> {
         self.localizer.as_ref().map(|a| &a.map)
     }
-
-    /// The peaks extracted by the most recent localize call (empty before the
-    /// first frame; None when the stage is disabled).
-    pub fn last_peaks(&self) -> Option<&[Peak]> {
-        self.localizer.as_ref().map(|a| a.peaks.as_slice())
-    }
 }
 
 impl Stage for LocalizeStage {
     fn name(&self) -> &'static str {
-        "localization"
+        Self::NAME
     }
 
     fn reset(&mut self) {
@@ -290,6 +294,10 @@ pub struct TrackStage {
 }
 
 impl TrackStage {
+    /// Stable stage name, shared by [`Stage::name`] and the latency accounting
+    /// in [`TrackStage::track_peaks`].
+    const NAME: &'static str = "tracking";
+
     /// Creates the stage from a full tracking configuration.
     ///
     /// # Errors
@@ -307,7 +315,7 @@ impl TrackStage {
     /// track's azimuth — `None` while no track is alive.
     pub fn track_peaks(&mut self, peaks: &[Peak], latency: &mut LatencyReport) -> Option<f64> {
         let tracker = &mut self.tracker;
-        latency.time("tracking", || tracker.update(peaks));
+        latency.time(Self::NAME, || tracker.update(peaks));
         self.best().map(|t| t.azimuth_deg)
     }
 
@@ -321,16 +329,11 @@ impl TrackStage {
     pub fn best(&self) -> Option<&TrackSnapshot> {
         self.tracker.best()
     }
-
-    /// Read access to the underlying multi-target tracker.
-    pub fn tracker(&self) -> &MultiTargetTracker {
-        &self.tracker
-    }
 }
 
 impl Stage for TrackStage {
     fn name(&self) -> &'static str {
-        "tracking"
+        Self::NAME
     }
 
     fn reset(&mut self) {
@@ -420,6 +423,26 @@ fn observe<T>(obs: &mut Option<ObsCtx<'_>>, stage: StageId, body: impl FnOnce() 
     }
 }
 
+/// Averages the channels of `frame` (non-empty, each `mono.len()` samples)
+/// into `mono`, one contiguous pass per channel. Bitwise equal to summing each
+/// column in channel order: a float sum starts at `-0.0`, and `-0.0 + x` is
+/// `x`.
+fn mixdown(frame: &[&[f64]], mono: &mut [f64]) {
+    let Some((first, rest)) = frame.split_first() else {
+        return;
+    };
+    mono.copy_from_slice(first);
+    for channel in rest {
+        for (m, &x) in mono.iter_mut().zip(*channel) {
+            *m += x;
+        }
+    }
+    let scale = 1.0 / frame.len() as f64;
+    for m in mono.iter_mut() {
+        *m *= scale;
+    }
+}
+
 /// Inputs controlling one [`StageGraph::run_frame_observed`] call.
 #[derive(Debug, Clone, Copy)]
 pub struct FrameParams {
@@ -432,14 +455,18 @@ pub struct FrameParams {
 }
 
 impl StageGraph {
-    /// Composes a graph from its stages, preallocating scratch for `frame_len`.
+    /// Composes a graph from its stages, preallocating scratch (the mixdown
+    /// and the detector's history) for `frame_len`.
     pub fn new(
         trigger: TriggerStage,
-        detect: DetectStage,
+        mut detect: DetectStage,
         localize: LocalizeStage,
         track: TrackStage,
         frame_len: usize,
     ) -> Self {
+        detect
+            .detector
+            .reserve_scratch(&mut detect.scratch, frame_len);
         StageGraph {
             trigger,
             detect,
@@ -509,10 +536,7 @@ impl StageGraph {
                 ));
             }
         }
-        let scale = 1.0 / frame.len() as f64;
-        for (i, slot) in mono.iter_mut().enumerate() {
-            *slot = frame.iter().map(|c| c[i]).sum::<f64>() * scale;
-        }
+        mixdown(frame, mono);
         // Stage 1 (trigger): in park mode the graph sleeps until the trigger fires.
         if params.gate_on_trigger
             && !observe(&mut obs, StageId::Trigger, || trigger.gate(mono, latency))
@@ -606,6 +630,33 @@ mod tests {
             other => panic!("expected a detection, got {other:?}"),
         }
         assert!(latency.stage("detection").is_some());
+    }
+
+    #[test]
+    fn mixdown_matches_the_column_sum_bitwise() {
+        use ispot_dsp::generator::{NoiseKind, NoiseSource};
+        let mut noise = NoiseSource::new(NoiseKind::White, 11);
+        for channels in [1usize, 2, 4] {
+            let data: Vec<Vec<f64>> = (0..channels)
+                .map(|c| {
+                    (0..257)
+                        .map(|i| match (i + c) % 7 {
+                            0 => 0.0,
+                            1 => -0.0,
+                            _ => noise.next().unwrap_or(0.0),
+                        })
+                        .collect()
+                })
+                .collect();
+            let frame: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
+            let mut mono = vec![f64::NAN; 257];
+            mixdown(&frame, &mut mono);
+            let scale = 1.0 / frame.len() as f64;
+            for (i, &m) in mono.iter().enumerate() {
+                let column = frame.iter().map(|c| c[i]).sum::<f64>() * scale;
+                assert_eq!(m.to_bits(), column.to_bits(), "{channels} ch, sample {i}");
+            }
+        }
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use crate::error::FeatureError;
 use crate::matrix::FeatureMatrix;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Converts a frequency in Hz to the mel scale (HTK convention).
 ///
@@ -27,6 +28,9 @@ pub fn mel_to_hz(mel: f64) -> f64 {
 pub struct MelFilterbank {
     /// One weight vector (over FFT bins) per mel band.
     weights: Vec<Vec<f64>>,
+    /// Per band, the bins from its first to its last nonzero weight (one bin
+    /// for an all-zero band); every weight outside is `0.0`.
+    support: Vec<Range<usize>>,
     num_bins: usize,
     sample_rate: f64,
     f_min: f64,
@@ -89,8 +93,16 @@ impl MelFilterbank {
             }
             weights.push(w);
         }
+        let support = weights
+            .iter()
+            .map(|w| match w.iter().position(|&x| x != 0.0) {
+                Some(first) => first..w.iter().rposition(|&x| x != 0.0).unwrap_or(first) + 1,
+                None => 0..1,
+            })
+            .collect();
         Ok(MelFilterbank {
             weights,
+            support,
             num_bins,
             sample_rate: fs,
             f_min,
@@ -106,6 +118,11 @@ impl MelFilterbank {
     /// Number of FFT bins this filterbank expects.
     pub fn num_bins(&self) -> usize {
         self.num_bins
+    }
+
+    /// Sampling rate (Hz) the filterbank was built for.
+    pub fn sample_rate(&self) -> f64 {
+        self.sample_rate
     }
 
     /// Centre frequency (Hz) of band `b`.
@@ -135,7 +152,8 @@ impl MelFilterbank {
     /// energies into `out` (resized to [`MelFilterbank::num_bands`]).
     ///
     /// Allocation-free in steady state (same `out` reused across calls) and
-    /// numerically identical to [`MelFilterbank::apply`].
+    /// numerically identical to [`MelFilterbank::apply`]. Each band sums only
+    /// over its nonzero weights, which is bitwise the full dot product.
     ///
     /// # Errors
     ///
@@ -148,6 +166,8 @@ impl MelFilterbank {
         if power_spectrum.len() != self.num_bins {
             return Err(FeatureError::invalid_config(
                 "power_spectrum",
+                // analyze: allow(alloc) — rejection path: a wrong-length spectrum
+                // is refused before any band is summed
                 format!(
                     "expected {} bins, got {}",
                     self.num_bins,
@@ -156,12 +176,30 @@ impl MelFilterbank {
             ));
         }
         out.clear();
-        out.extend(self.weights.iter().map(|w| {
-            w.iter()
-                .zip(power_spectrum)
-                .map(|(a, b)| a * b)
-                .sum::<f64>()
-        }));
+        // A skipped bin adds `0.0 * p`, which is `+0.0` when `p` is finite
+        // with a clear sign bit, and adding `+0.0` to a sum of such products
+        // leaves it bitwise unchanged. The power spectrum of finite audio
+        // qualifies. Any other input (NaN, ±inf, negative or `-0.0` bins, where
+        // `0.0 * inf` is NaN and `0.0 * -1.0` is `-0.0`) takes the full sum.
+        if power_spectrum
+            .iter()
+            .all(|p| p.to_bits() < f64::INFINITY.to_bits())
+        {
+            out.extend(self.weights.iter().zip(&self.support).map(|(w, bins)| {
+                w[bins.clone()]
+                    .iter()
+                    .zip(&power_spectrum[bins.clone()])
+                    .map(|(a, b)| a * b)
+                    .sum::<f64>()
+            }));
+        } else {
+            out.extend(self.weights.iter().map(|w| {
+                w.iter()
+                    .zip(power_spectrum)
+                    .map(|(a, b)| a * b)
+                    .sum::<f64>()
+            }));
+        }
         Ok(())
     }
 
@@ -228,6 +266,50 @@ mod tests {
             (fc - 1000.0).abs() < 300.0,
             "peak band centre {fc} too far from 1 kHz"
         );
+    }
+
+    #[test]
+    fn banded_apply_is_bitwise_the_dense_dot_product() {
+        use ispot_dsp::generator::{NoiseKind, NoiseSource};
+        let fs = 16_000.0;
+        let banks = [
+            // The template detector's bank, the default MFCC bank, f_min = 0.
+            MelFilterbank::new(32, 257, fs, 50.0, fs / 2.0).unwrap(),
+            MelFilterbank::new(26, 257, fs, 20.0, 8000.0).unwrap(),
+            MelFilterbank::new(40, 257, fs, 0.0, 8000.0).unwrap(),
+        ];
+        let mut noise = NoiseSource::new(NoiseKind::White, 5);
+        let mut spectra: Vec<Vec<f64>> = (0..8)
+            .map(|s| {
+                (0..257)
+                    .map(|k| {
+                        let v = noise.next().unwrap_or(0.0);
+                        if (k + s) % 5 == 0 {
+                            0.0
+                        } else {
+                            v * v * 10f64.powi(s - 4)
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        spectra.push(vec![0.0; 257]);
+        // Inputs outside the banded precondition take the full sum.
+        for bad in [f64::NAN, f64::INFINITY, -1.0, -0.0] {
+            let mut spectrum = spectra[0].clone();
+            spectrum[200] = bad;
+            spectra.push(spectrum);
+        }
+        let mut out = Vec::new();
+        for fb in &banks {
+            for spectrum in &spectra {
+                fb.apply_into(spectrum, &mut out).unwrap();
+                for (b, w) in fb.weights.iter().enumerate() {
+                    let dense = w.iter().zip(spectrum).map(|(a, p)| a * p).sum::<f64>();
+                    assert_eq!(out[b].to_bits(), dense.to_bits(), "band {b}");
+                }
+            }
+        }
     }
 
     #[test]

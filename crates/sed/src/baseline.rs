@@ -137,10 +137,18 @@ impl EnergyDetector {
 /// [`SpectralTemplateDetector::predict_with_confidence_into`] path.
 ///
 /// All buffers are sized lazily on first use (or pre-sized by
-/// [`SpectralTemplateDetector::make_scratch`]) and reused afterwards; one scratch
-/// serves one detector at a time. Since the detector itself is immutable after
-/// construction, many concurrent streams can share one detector (e.g. behind an
-/// `Arc`) while each holds its own scratch.
+/// [`SpectralTemplateDetector::make_scratch`] and
+/// [`SpectralTemplateDetector::reserve_scratch`]) and reused afterwards. Since
+/// the detector itself is immutable after construction, many concurrent
+/// streams can share one detector (e.g. behind an `Arc`) while each holds its
+/// own scratch.
+///
+/// The scratch also carries per-stream history: the previous clip and the
+/// log-mel column of each of its sub-frames. When the next clip starts with a
+/// bit-identical run of the previous one shifted by whole sub-frame hops (a
+/// stream's overlapping frames), those columns are copied instead of
+/// recomputed. Any other clip computes every column, so sharing one scratch
+/// across streams or detectors stays correct but forfeits the reuse.
 #[derive(Debug, Clone, Default)]
 pub struct DetectorScratch {
     /// STFT workspace (windowed frame + complex spectrum).
@@ -151,6 +159,54 @@ pub struct DetectorScratch {
     mel: Vec<f64>,
     /// Accumulated (then normalized) mean log-mel feature vector.
     features: Vec<f64>,
+    /// The previous clip; empty while `columns` does not belong to it.
+    history: Vec<f64>,
+    /// Sample rate of the detector that computed `columns`, as bits.
+    history_rate: u64,
+    /// `ln(max(mel, 1e-10))` of each sub-frame of `history`, frame-major.
+    columns: Vec<f64>,
+    /// The sub-frame shift that matched on the last reuse, tried first.
+    last_shift: usize,
+}
+
+impl DetectorScratch {
+    /// Number of leading sub-frames of `audio` whose samples equal, bit for
+    /// bit, those `shift` sub-frames into the history.
+    fn reusable(&self, audio: &[f64], frame_len: usize, hop: usize, shift: usize) -> usize {
+        let Some(prev) = self.history.get(shift * hop..) else {
+            return 0;
+        };
+        let same = audio
+            .iter()
+            .zip(prev)
+            .take_while(|(a, b)| a.to_bits() == b.to_bits())
+            .count();
+        if same < frame_len {
+            0
+        } else {
+            (same - frame_len) / hop + 1
+        }
+    }
+
+    /// Finds a history shift whose columns `audio` can reuse, trying the last
+    /// matching shift first and then every other in turn: `(shift, reused)`,
+    /// or `(0, 0)` when none matches.
+    fn find_reuse(&mut self, audio: &[f64], frame_len: usize, hop: usize) -> (usize, usize) {
+        let last = self.last_shift;
+        let reused = self.reusable(audio, frame_len, hop, last);
+        if reused > 0 {
+            return (last, reused);
+        }
+        let shifts = (self.history.len() + hop).saturating_sub(frame_len) / hop;
+        for shift in (0..shifts).filter(|&s| s != last) {
+            let reused = self.reusable(audio, frame_len, hop, shift);
+            if reused > 0 {
+                self.last_shift = shift;
+                return (shift, reused);
+            }
+        }
+        (0, 0)
+    }
 }
 
 /// Multi-class nearest-template classifier on time-averaged log-mel spectra.
@@ -214,9 +270,10 @@ impl SpectralTemplateDetector {
 
     /// Streaming core of [`SpectralTemplateDetector::mean_log_mel`]: computes the
     /// normalized mean log-mel feature vector into `scratch.features` using only
-    /// scratch-owned buffers. Numerically identical to the batch path (same frame
+    /// scratch-owned buffers. Bitwise identical to the batch path (same frame
     /// walk, same per-column accumulation order), but allocation-free in steady
-    /// state.
+    /// state, and it transforms only the sub-frames the scratch's history does
+    /// not already hold.
     fn mean_log_mel_into(
         spectrogram: &SpectrogramExtractor,
         filterbank: &MelFilterbank,
@@ -233,15 +290,36 @@ impl SpectralTemplateDetector {
         }
         let num_frames = spectrogram.frames_for(audio.len());
         let num_bands = filterbank.num_bands();
-        scratch.features.clear();
-        scratch.features.resize(num_bands, 0.0);
-        for f in 0..num_frames {
+        let rate = filterbank.sample_rate().to_bits();
+        if scratch.history_rate != rate {
+            scratch.history.clear();
+            scratch.history_rate = rate;
+        }
+        // Columns `shift..shift + reused` of the history are this clip's
+        // leading columns. The history is cleared until every column is
+        // computed, so a failed call leaves nothing to reuse.
+        let (shift, reused) = scratch.find_reuse(audio, config.frame_len, config.hop);
+        scratch
+            .columns
+            .copy_within(shift * num_bands..(shift + reused) * num_bands, 0);
+        scratch.columns.resize(num_frames * num_bands, 0.0);
+        scratch.history.clear();
+        for f in reused..num_frames {
             let start = f * config.hop;
             let frame = &audio[start..start + config.frame_len];
             spectrogram.power_frame_into(frame, &mut scratch.stft, &mut scratch.power)?;
             filterbank.apply_into(&scratch.power, &mut scratch.mel)?;
-            for (acc, &m) in scratch.features.iter_mut().zip(&scratch.mel) {
-                *acc += m.max(1e-10).ln();
+            let column = &mut scratch.columns[f * num_bands..(f + 1) * num_bands];
+            for (c, &m) in column.iter_mut().zip(&scratch.mel) {
+                *c = m.max(1e-10).ln();
+            }
+        }
+        scratch.history.extend_from_slice(audio);
+        scratch.features.clear();
+        scratch.features.resize(num_bands, 0.0);
+        for column in scratch.columns.chunks_exact(num_bands) {
+            for (acc, &c) in scratch.features.iter_mut().zip(column) {
+                *acc += c;
             }
         }
         let mean = &mut scratch.features;
@@ -290,10 +368,19 @@ impl SpectralTemplateDetector {
             power: Vec::with_capacity(self.spectrogram.num_bins()),
             mel: Vec::with_capacity(self.filterbank.num_bands()),
             features: Vec::with_capacity(self.filterbank.num_bands()),
+            ..DetectorScratch::default()
         };
         scratch.power.resize(self.spectrogram.num_bins(), 0.0);
         scratch.mel.resize(self.filterbank.num_bands(), 0.0);
         scratch
+    }
+
+    /// Reserves `scratch`'s history for clips of `clip_len` samples, so a
+    /// stream of such clips allocates nothing from its first call on.
+    pub fn reserve_scratch(&self, scratch: &mut DetectorScratch, clip_len: usize) {
+        let columns = self.spectrogram.frames_for(clip_len) * self.filterbank.num_bands();
+        scratch.history.reserve(clip_len);
+        scratch.columns.reserve(columns);
     }
 
     /// Classifies one audio clip using caller-owned scratch memory — the real-time
@@ -392,6 +479,63 @@ mod tests {
         assert!(detector
             .predict_with_confidence_into(&[0.0; 16], &mut scratch)
             .is_err());
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn sliding_windows_reuse_columns_and_match_the_batch_reference() {
+        let fs = 16_000.0;
+        let detector = SpectralTemplateDetector::new(fs).unwrap();
+        let mut siren = synthesize_event(EventClass::WailSiren, fs, 1.5);
+        siren[9_000] = f64::NAN;
+        siren[9_001] = -0.0;
+        let noise = UrbanNoiseSynthesizer::new(fs, 3).synthesize(1.5);
+        let len = 2048;
+        let mut scratch = detector.make_scratch();
+        detector.reserve_scratch(&mut scratch, len);
+        let check = |clip: &[f64], start: usize, scratch: &mut DetectorScratch| {
+            let window = &clip[start..start + len];
+            let out = detector
+                .predict_with_confidence_into(window, scratch)
+                .unwrap();
+            assert_eq!(
+                bits(&scratch.features),
+                bits(&reference_mean_log_mel(&detector, window)),
+                "window at {start}"
+            );
+            assert_eq!(out, detector.predict_with_confidence(window).unwrap());
+        };
+        // Hops that are multiples of the 256-sample sub-hop reuse columns;
+        // 1000 permits no reuse.
+        for hop in [1024, 512, 256, 1000] {
+            let mut previous = None;
+            let mut reused = 0;
+            for (k, start) in (0..siren.len() - len).step_by(hop).enumerate() {
+                // Skipped windows leave gaps, as park-mode gating does.
+                if k % 5 == 3 {
+                    continue;
+                }
+                // A different clip interrupts the stream mid-way.
+                if k == 6 {
+                    check(&noise, start, &mut scratch);
+                    previous = None;
+                    continue;
+                }
+                let expected = match previous.map(|p| start - p) {
+                    Some(gap) if gap % 256 == 0 && gap + 512 <= len => (len - gap - 512) / 256 + 1,
+                    _ => 0,
+                };
+                let window = &siren[start..start + len];
+                assert_eq!(scratch.clone().find_reuse(window, 512, 256).1, expected);
+                reused += expected;
+                check(&siren, start, &mut scratch);
+                previous = Some(start);
+            }
+            assert_eq!(reused > 0, hop % 256 == 0, "hop {hop}");
+        }
     }
 
     #[test]

@@ -16,16 +16,16 @@
 //!   parks the exporter (scrapes queue behind it) — pollers should pass
 //!   `limit`.
 //!
-//! The exporter is intentionally not a general web server: requests beyond
-//! ~4 KiB are rejected, only `GET` is answered, and every response closes the
-//! connection.
+//! The exporter is intentionally not a general web server: a request head
+//! over 4 KiB is answered with `431`, only `GET` is answered, and every
+//! response closes the connection.
 
 use crate::feed::FeedEvent;
 use crate::host::{HostInner, SessionHost};
 use crate::metrics::LatencySnapshot;
 use crate::relock;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -45,6 +45,12 @@ const IO_TIMEOUT: Duration = Duration::from_millis(500);
 /// would let a client dripping one byte per read occupy the single-threaded
 /// accept loop for minutes.
 const HEAD_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Longest request head the exporter reads, blank line included.
+const MAX_HEAD: usize = 4096;
+
+/// Most bytes read and dropped after refusing an oversized head.
+const MAX_DISCARD: usize = 64 * 1024;
 
 /// How often the SSE feed writes a comment keepalive while idle, so a client
 /// that disconnected without new events arriving surfaces as a write error
@@ -126,7 +132,15 @@ fn serve_connection(
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let request = read_request_head(&mut stream)?;
+    let Some(request) = read_request_head(&mut stream)? else {
+        respond(
+            &mut stream,
+            "431 Request Header Fields Too Large",
+            "text/plain; charset=utf-8",
+            "request head exceeds 4096 bytes\n",
+        )?;
+        return discard_rest(&mut stream);
+    };
     let Some(target) = parse_get_target(&request) else {
         return respond(
             &mut stream,
@@ -163,9 +177,10 @@ fn serve_connection(
     }
 }
 
-/// Reads the request head (start line + headers) up to a small bound, giving
-/// up once [`HEAD_DEADLINE`] has elapsed without a complete head.
-fn read_request_head(stream: &mut TcpStream) -> std::io::Result<String> {
+/// Reads the request head (start line + headers), giving up once
+/// [`HEAD_DEADLINE`] has elapsed without a complete head. `None` when the
+/// head does not end within [`MAX_HEAD`] bytes.
+fn read_request_head(stream: &mut TcpStream) -> std::io::Result<Option<String>> {
     let deadline = std::time::Instant::now() + HEAD_DEADLINE;
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
@@ -175,8 +190,11 @@ fn read_request_head(stream: &mut TcpStream) -> std::io::Result<String> {
             break;
         }
         buf.extend_from_slice(&chunk[..n]);
-        if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.len() > 4096 {
-            break;
+        match buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            Some(end) if end + 4 <= MAX_HEAD => break,
+            Some(_) => return Ok(None),
+            None if buf.len() >= MAX_HEAD => return Ok(None),
+            None => {}
         }
         if std::time::Instant::now() >= deadline {
             return Err(std::io::Error::new(
@@ -185,7 +203,25 @@ fn read_request_head(stream: &mut TcpStream) -> std::io::Result<String> {
             ));
         }
     }
-    Ok(String::from_utf8_lossy(&buf).into_owned())
+    Ok(Some(String::from_utf8_lossy(&buf).into_owned()))
+}
+
+/// Ends the response and reads out what the client still sends (at most
+/// [`MAX_DISCARD`] bytes, until [`HEAD_DEADLINE`]). Closing a socket with
+/// unread input resets the connection, which can drop the response before
+/// the client reads it.
+fn discard_rest(stream: &mut TcpStream) -> std::io::Result<()> {
+    stream.shutdown(Shutdown::Write)?;
+    let deadline = std::time::Instant::now() + HEAD_DEADLINE;
+    let mut chunk = [0u8; 4096];
+    let mut discarded = 0;
+    while discarded < MAX_DISCARD && std::time::Instant::now() < deadline {
+        match stream.read(&mut chunk)? {
+            0 => break,
+            n => discarded += n,
+        }
+    }
+    Ok(())
 }
 
 /// Extracts the target of a `GET <target> HTTP/1.x` start line.
@@ -485,8 +521,9 @@ mod tests {
             }
         }
 
-        /// Heads past the 4 KiB read bound — a long start line or long
-        /// headers of arbitrary bytes — still parse to their target.
+        /// The parser alone, without the 4 KiB bound of `read_request_head`
+        /// (pinned by the endpoint tests): heads far past it — a long start
+        /// line or long headers of arbitrary bytes — parse to their target.
         #[test]
         fn oversized_heads_still_parse(
             path_len in 0usize..6000,

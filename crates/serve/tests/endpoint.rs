@@ -223,3 +223,31 @@ fn malformed_heads_leave_the_accept_loop_live() {
     let response = get(addr, "/metrics");
     assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
 }
+
+#[test]
+fn oversized_head_gets_431_and_the_exporter_stays_live() {
+    let engine = PipelineBuilder::new(FS).build_engine().unwrap();
+    let host = SessionHost::new(
+        engine,
+        HostConfig {
+            workers: 1,
+            ..HostConfig::default()
+        },
+    )
+    .unwrap();
+    let endpoint = host.serve_http("127.0.0.1:0").expect("bind endpoint");
+    let addr = endpoint.addr();
+
+    // A 5 KiB head: a routable start line, then padding with no blank line.
+    let mut oversized = b"GET /metrics HTTP/1.1\r\nX-Pad: ".to_vec();
+    oversized.resize(5 * 1024, b'a');
+    let response = send_raw(addr, &oversized);
+    assert!(
+        response.starts_with(b"HTTP/1.1 431"),
+        "{}",
+        String::from_utf8_lossy(&response)
+    );
+
+    let response = get(addr, "/metrics");
+    assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+}
