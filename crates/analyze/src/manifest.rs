@@ -203,7 +203,6 @@ impl Manifest {
                         "inverse_real_into",
                         "check_len",
                         "transform_in_place",
-                        "butterflies",
                     ],
                 ),
                 entry("crates/dsp/src/stft.rs", &["frame_spectrum_into"]),

@@ -40,17 +40,6 @@ pub struct Fft {
     bluestein: Option<Box<BluesteinPlan>>,
 }
 
-/// One radix-2 pass over a block: `lo[k] ± hi[k] * w[k]`.
-#[inline(always)]
-fn butterflies(lo: &mut [Complex], hi: &mut [Complex], twiddles: impl Iterator<Item = Complex>) {
-    for ((even, odd), w) in lo.iter_mut().zip(hi.iter_mut()).zip(twiddles) {
-        let e = *even;
-        let o = *odd * w;
-        *even = e + o;
-        *odd = e - o;
-    }
-}
-
 #[derive(Debug, Clone)]
 struct BluesteinPlan {
     inner: Fft,
@@ -315,18 +304,21 @@ impl Fft {
                 buf.swap(i, j);
             }
         }
-        // Iterative radix-2 butterflies over the split halves of each block.
+        // Iterative radix-2 butterflies.
         let mut len = 2;
         while len <= n {
             let half = len / 2;
             let step = n / len;
-            for block in buf.chunks_exact_mut(len) {
-                let (lo, hi) = block.split_at_mut(half);
-                let twiddles = self.twiddles.iter().step_by(step);
-                if inverse {
-                    butterflies(lo, hi, twiddles.map(|w| w.conj()));
-                } else {
-                    butterflies(lo, hi, twiddles.copied());
+            for start in (0..n).step_by(len) {
+                for k in 0..half {
+                    let mut w = self.twiddles[k * step];
+                    if inverse {
+                        w = w.conj();
+                    }
+                    let even = buf[start + k];
+                    let odd = buf[start + k + half] * w;
+                    buf[start + k] = even + odd;
+                    buf[start + k + half] = even - odd;
                 }
             }
             len <<= 1;
@@ -436,57 +428,6 @@ mod tests {
             .collect();
         let fft = Fft::new(n);
         assert_close(&fft.forward(&x).unwrap(), &dft_naive(&x), 1e-9);
-    }
-
-    /// The radix-2 transform as a plainly indexed loop: the reference the
-    /// split-half butterflies must match bit for bit.
-    fn indexed_radix2(fft: &Fft, buf: &mut [Complex], inverse: bool) {
-        let n = fft.size;
-        for i in 0..n {
-            let j = fft.bitrev[i];
-            if i < j {
-                buf.swap(i, j);
-            }
-        }
-        let mut len = 2;
-        while len <= n {
-            let (half, step) = (len / 2, n / len);
-            for start in (0..n).step_by(len) {
-                for k in 0..half {
-                    let mut w = fft.twiddles[k * step];
-                    if inverse {
-                        w = w.conj();
-                    }
-                    let even = buf[start + k];
-                    let odd = buf[start + k + half] * w;
-                    buf[start + k] = even + odd;
-                    buf[start + k + half] = even - odd;
-                }
-            }
-            len <<= 1;
-        }
-    }
-
-    #[test]
-    fn split_butterflies_match_the_indexed_loop_bitwise() {
-        let bits = |v: &[Complex]| -> Vec<(u64, u64)> {
-            v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
-        };
-        for n in [2usize, 4, 8, 64, 512, 1024] {
-            let fft = Fft::new(n);
-            let x: Vec<Complex> = (0..n)
-                .map(|i| match i % 9 {
-                    0 => Complex::new(0.0, -0.0),
-                    _ => Complex::new((i as f64 * 0.7).sin(), (i as f64 * 1.3).cos() * 1e3),
-                })
-                .collect();
-            for inverse in [false, true] {
-                let (mut got, mut want) = (x.clone(), x.clone());
-                fft.transform_in_place(&mut got, inverse);
-                indexed_radix2(&fft, &mut want, inverse);
-                assert_eq!(bits(&got), bits(&want), "n = {n}, inverse = {inverse}");
-            }
-        }
     }
 
     #[test]

@@ -138,17 +138,17 @@ impl EnergyDetector {
 ///
 /// All buffers are sized lazily on first use (or pre-sized by
 /// [`SpectralTemplateDetector::make_scratch`] and
-/// [`SpectralTemplateDetector::reserve_scratch`]) and reused afterwards. Since
-/// the detector itself is immutable after construction, many concurrent
-/// streams can share one detector (e.g. behind an `Arc`) while each holds its
-/// own scratch.
+/// [`SpectralTemplateDetector::reserve_scratch`]) and reused afterwards; one
+/// scratch serves one detector at a time. Since the detector itself is
+/// immutable after construction, many concurrent streams can share one
+/// detector (e.g. behind an `Arc`) while each holds its own scratch.
 ///
 /// The scratch also carries per-stream history: the previous clip and the
 /// log-mel column of each of its sub-frames. When the next clip starts with a
 /// bit-identical run of the previous one shifted by whole sub-frame hops (a
 /// stream's overlapping frames), those columns are copied instead of
 /// recomputed. Any other clip computes every column, so sharing one scratch
-/// across streams or detectors stays correct but forfeits the reuse.
+/// across streams stays correct but forfeits the reuse.
 #[derive(Debug, Clone, Default)]
 pub struct DetectorScratch {
     /// STFT workspace (windowed frame + complex spectrum).
@@ -161,12 +161,8 @@ pub struct DetectorScratch {
     features: Vec<f64>,
     /// The previous clip; empty while `columns` does not belong to it.
     history: Vec<f64>,
-    /// Sample rate of the detector that computed `columns`, as bits.
-    history_rate: u64,
     /// `ln(max(mel, 1e-10))` of each sub-frame of `history`, frame-major.
     columns: Vec<f64>,
-    /// The sub-frame shift that matched on the last reuse, tried first.
-    last_shift: usize,
 }
 
 impl DetectorScratch {
@@ -188,24 +184,14 @@ impl DetectorScratch {
         }
     }
 
-    /// Finds a history shift whose columns `audio` can reuse, trying the last
-    /// matching shift first and then every other in turn: `(shift, reused)`,
-    /// or `(0, 0)` when none matches.
-    fn find_reuse(&mut self, audio: &[f64], frame_len: usize, hop: usize) -> (usize, usize) {
-        let last = self.last_shift;
-        let reused = self.reusable(audio, frame_len, hop, last);
-        if reused > 0 {
-            return (last, reused);
-        }
+    /// Finds the first history shift whose columns `audio` can reuse:
+    /// `(shift, reused)`, or `(0, 0)` when none matches.
+    fn find_reuse(&self, audio: &[f64], frame_len: usize, hop: usize) -> (usize, usize) {
         let shifts = (self.history.len() + hop).saturating_sub(frame_len) / hop;
-        for shift in (0..shifts).filter(|&s| s != last) {
-            let reused = self.reusable(audio, frame_len, hop, shift);
-            if reused > 0 {
-                self.last_shift = shift;
-                return (shift, reused);
-            }
-        }
-        (0, 0)
+        (0..shifts)
+            .map(|shift| (shift, self.reusable(audio, frame_len, hop, shift)))
+            .find(|&(_, reused)| reused > 0)
+            .unwrap_or((0, 0))
     }
 }
 
@@ -290,11 +276,6 @@ impl SpectralTemplateDetector {
         }
         let num_frames = spectrogram.frames_for(audio.len());
         let num_bands = filterbank.num_bands();
-        let rate = filterbank.sample_rate().to_bits();
-        if scratch.history_rate != rate {
-            scratch.history.clear();
-            scratch.history_rate = rate;
-        }
         // Columns `shift..shift + reused` of the history are this clip's
         // leading columns. The history is cleared until every column is
         // computed, so a failed call leaves nothing to reuse.
@@ -529,7 +510,7 @@ mod tests {
                     _ => 0,
                 };
                 let window = &siren[start..start + len];
-                assert_eq!(scratch.clone().find_reuse(window, 512, 256).1, expected);
+                assert_eq!(scratch.find_reuse(window, 512, 256).1, expected);
                 reused += expected;
                 check(&siren, start, &mut scratch);
                 previous = Some(start);

@@ -29,7 +29,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Version of the `/snapshot` JSON document shape.
 const SNAPSHOT_SCHEMA_VERSION: u32 = 1;
@@ -132,14 +132,15 @@ fn serve_connection(
 ) -> std::io::Result<()> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let Some(request) = read_request_head(&mut stream)? else {
+    let deadline = Instant::now() + HEAD_DEADLINE;
+    let Some(request) = read_request_head(&mut stream, deadline)? else {
         respond(
             &mut stream,
             "431 Request Header Fields Too Large",
             "text/plain; charset=utf-8",
             "request head exceeds 4096 bytes\n",
         )?;
-        return discard_rest(&mut stream);
+        return discard_rest(&mut stream, deadline);
     };
     let Some(target) = parse_get_target(&request) else {
         return respond(
@@ -177,11 +178,10 @@ fn serve_connection(
     }
 }
 
-/// Reads the request head (start line + headers), giving up once
-/// [`HEAD_DEADLINE`] has elapsed without a complete head. `None` when the
-/// head does not end within [`MAX_HEAD`] bytes.
-fn read_request_head(stream: &mut TcpStream) -> std::io::Result<Option<String>> {
-    let deadline = std::time::Instant::now() + HEAD_DEADLINE;
+/// Reads the request head (start line + headers), giving up once `deadline`
+/// has passed without a complete head. `None` when the head does not end
+/// within [`MAX_HEAD`] bytes.
+fn read_request_head(stream: &mut TcpStream, deadline: Instant) -> std::io::Result<Option<String>> {
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
@@ -196,7 +196,7 @@ fn read_request_head(stream: &mut TcpStream) -> std::io::Result<Option<String>> 
             None if buf.len() >= MAX_HEAD => return Ok(None),
             None => {}
         }
-        if std::time::Instant::now() >= deadline {
+        if Instant::now() >= deadline {
             return Err(std::io::Error::new(
                 ErrorKind::TimedOut,
                 "request head incomplete at deadline",
@@ -207,15 +207,19 @@ fn read_request_head(stream: &mut TcpStream) -> std::io::Result<Option<String>> 
 }
 
 /// Ends the response and reads out what the client still sends (at most
-/// [`MAX_DISCARD`] bytes, until [`HEAD_DEADLINE`]). Closing a socket with
-/// unread input resets the connection, which can drop the response before
-/// the client reads it.
-fn discard_rest(stream: &mut TcpStream) -> std::io::Result<()> {
+/// [`MAX_DISCARD`] bytes, until the head's `deadline`, so the head and the
+/// drain share one budget). Closing a socket with unread input resets the
+/// connection, which can drop the response before the client reads it.
+fn discard_rest(stream: &mut TcpStream, deadline: Instant) -> std::io::Result<()> {
     stream.shutdown(Shutdown::Write)?;
-    let deadline = std::time::Instant::now() + HEAD_DEADLINE;
     let mut chunk = [0u8; 4096];
     let mut discarded = 0;
-    while discarded < MAX_DISCARD && std::time::Instant::now() < deadline {
+    while discarded < MAX_DISCARD {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            break;
+        }
+        stream.set_read_timeout(Some(left.min(IO_TIMEOUT)))?;
         match stream.read(&mut chunk)? {
             0 => break,
             n => discarded += n,
